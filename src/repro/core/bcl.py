@@ -27,8 +27,8 @@ import numpy as np
 from repro.core.counts import BicliqueQuery, CountResult, anchored_view
 from repro.engine.base import KernelBackend, resolve_backend
 from repro.graph.bipartite import BipartiteGraph, LAYER_U
-from repro.graph.priority import priority_order, rank_from_order
-from repro.graph.twohop import TwoHopIndex, build_two_hop_index
+from repro.graph.priority import priority_index
+from repro.graph.twohop import TwoHopIndex
 from repro.plan.registry import CostSignals, MethodSpec, register_method
 
 __all__ = ["bcl_count", "bcl_per_root_profile", "BCLProfile"]
@@ -123,9 +123,7 @@ def _prepare(graph: BipartiteGraph, query: BicliqueQuery,
         order = session.priority_order(anchored, q)
         index = session.two_hop_index(anchored, q)
     else:
-        order = priority_order(g, LAYER_U, q)
-        rank = rank_from_order(order)
-        index = build_two_hop_index(g, LAYER_U, q, min_priority_rank=rank)
+        order, _, index = priority_index(g, LAYER_U, q)
     profile.seconds_two_hop += time.perf_counter() - t0
     return g, p, q, anchored, order, index
 

@@ -94,13 +94,21 @@ def _predicted_seconds(signals: CostSignals) -> float:
     """BCLP's headline is the modelled makespan: the serial enumeration
     spread over ``threads``, floored by the heaviest root's tree (list
     scheduling cannot split one root — the paper's skew-limited
-    scaling), plus the per-root profiling loop."""
+    scaling), plus the per-root profiling loop.
+
+    On ``par`` the root loop really runs across worker processes, and
+    ``workers=`` asks the planner for the parallelism those processes
+    realise; ranking a modelled ``threads``-way makespan against it
+    would choose a plan whose caller waits the full serial loop.  There
+    the hook prices the wall time the workers realise instead."""
     serial = signals.enum_seconds(signals.merge_calls, signals.comparisons)
+    loop = signals.population * SECONDS_PER_ROOT_PROFILED
+    if signals.backend == "par":
+        return (signals.priority_prepare_seconds() + loop
+                + signals.sharded(serial))
     makespan = max(serial / max(signals.threads, 1),
                    signals.max_root_seconds())
-    loop = signals.population * SECONDS_PER_ROOT_PROFILED
-    return (signals.priority_prepare_seconds() + loop
-            + signals.sharded(makespan))
+    return signals.priority_prepare_seconds() + loop + makespan
 
 
 register_method(MethodSpec(

@@ -18,8 +18,8 @@ import numpy as np
 
 from repro.core.counts import BicliqueQuery, anchored_view
 from repro.graph.bipartite import BipartiteGraph, LAYER_U
-from repro.graph.priority import priority_order, rank_from_order
-from repro.graph.twohop import TwoHopIndex, build_two_hop_index
+from repro.graph.priority import priority_index
+from repro.graph.twohop import TwoHopIndex
 
 __all__ = ["DeviceInputs", "prepare_device_inputs", "assign_roots_to_blocks",
            "comb_sum", "resolve_native_pack", "BALANCE_STRATEGIES"]
@@ -105,21 +105,15 @@ def prepare_device_inputs(graph: BipartiteGraph, query: BicliqueQuery,
         index = session.two_hop_index(anchored, q)
         session.stats.prepare_calls += 1
     else:
-        order = priority_order(g, LAYER_U, q)
-        rank = rank_from_order(order)
-        index = build_two_hop_index(g, LAYER_U, q, min_priority_rank=rank)
-    promising = []
-    for root in order:
-        root = int(root)
-        if g.degree(LAYER_U, root) < q:
-            continue
-        if p > 1 and index.size(root) < p - 1:
-            continue
-        promising.append(root)
+        order, rank, index = priority_index(g, LAYER_U, q)
+    order = np.asarray(order, dtype=np.int64)
+    promising = np.diff(g.u_offsets)[order] >= q
+    if p > 1:
+        promising &= np.diff(index.offsets)[order] >= p - 1
     return DeviceInputs(
         graph=g, p=p, q=q, anchored_layer=anchored,
         order=order, rank=rank, index=index,
-        roots=np.asarray(promising, dtype=np.int64),
+        roots=order[promising],
         prepare_seconds=time.perf_counter() - t0,
     )
 

@@ -15,9 +15,10 @@ Counts are bit-identical to the per-root recursion: the same
 (candidate, adjacency-row) intersections run with the same ``>= q`` /
 ``>= p - depth - 1`` survivor guards, only grouped by level instead of
 by root, and the binomial sum is an exact integer so regrouping cannot
-change it.  The drivers route through here only for engines that
-declare ``frontier = True`` (the native backend); ``sim`` keeps the
-per-root path, whose call-for-call accounting is golden-pinned.
+change it.  The drivers route through here for engines that declare
+``frontier = True`` (the native backend) and, one root shard per
+worker, for ``par``; ``sim`` keeps the per-root path, whose
+call-for-call accounting is golden-pinned.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.core.device_common import comb_sum
 from repro.graph.csr import gather_rows, row_lengths, row_positions
 
 __all__ = ["csr_frontier_count", "htb_frontier_count",
+           "csr_shard_count", "htb_shard_count", "merge_shard_counts",
            "decode_bitmap_rows", "FRONTIER_ROOT_CHUNK"]
 
 #: roots per frontier chunk — bounds the widest level's scratch arrays
@@ -191,3 +193,43 @@ def htb_frontier_count(engine, metrics, htb1, htb2, roots, p: int, q: int,
             _, cr_val = _select_rows(kept_off, kept_val, live)
             depth += 1
     return total, peak
+
+
+# ---------------------------------------------------------------------------
+# root shards: what a ``par`` worker runs
+#
+# The sharded drivers ship these module-level functions to the worker
+# pool inside a closure over the per-(session, layer, k) tables, so the
+# pool's token cache keeps the tables resident across calls and only the
+# shard's root ids travel with each task.  Every worker runs the native
+# batch kernels, whatever engine the parent holds.
+
+
+def _native_engine():
+    from repro.engine.native import NativeBackend
+
+    return NativeBackend()
+
+
+def htb_shard_count(htb1, htb2, roots, p: int, q: int,
+                    warps: int = 1) -> tuple[int, int]:
+    """:func:`htb_frontier_count` over one root shard on the native engine."""
+    engine = _native_engine()
+    return htb_frontier_count(engine, engine.new_metrics(), htb1, htb2,
+                              roots, p, q, warps=warps)
+
+
+def csr_shard_count(pack, roots, p: int, q: int,
+                    warps: int = 1) -> tuple[int, int]:
+    """:func:`csr_frontier_count` over one root shard of a native pack."""
+    engine = _native_engine()
+    return csr_frontier_count(engine, engine.new_metrics(),
+                              pack.adj_offsets, pack.adj_values,
+                              pack.idx_offsets, pack.idx_values,
+                              roots, p, q, warps=warps)
+
+
+def merge_shard_counts(parts) -> tuple[int, int]:
+    """Exact total and largest peak over per-shard ``(total, peak)``."""
+    return (sum(total for total, _ in parts),
+            max((peak for _, peak in parts), default=0))

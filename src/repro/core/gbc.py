@@ -30,7 +30,13 @@ from repro.core.device_common import (
     prepare_device_inputs,
     resolve_native_pack,
 )
-from repro.core.frontier import csr_frontier_count, htb_frontier_count
+from repro.core.frontier import (
+    csr_frontier_count,
+    csr_shard_count,
+    htb_frontier_count,
+    htb_shard_count,
+    merge_shard_counts,
+)
 from repro.graph.csr import row_lengths
 from repro.engine.base import KernelBackend, resolve_backend
 from repro.errors import QueryError
@@ -309,8 +315,9 @@ def gbc_count(graph: BipartiteGraph, query: BicliqueQuery,
     utilisation/imbalance diagnostics used across §VII.  With
     ``backend="fast"`` the count is identical but all device accounting
     (metrics, makespan, device seconds) stays zero — use ``wall_seconds``.
-    With ``backend="par"`` (or ``workers=``) the root set additionally
-    shards over worker processes, merged deterministically.  With a
+    With ``backend="par"`` (or ``workers=``) the root set shards over
+    worker processes, each running the native frontier kernels on its
+    shard; the shard totals sum exactly.  With a
     :class:`repro.query.GraphSession` as ``session=``, the priority
     order, two-hop index and both HTBs come from the session's caches —
     built once and shared across every query of a batch.
@@ -339,21 +346,21 @@ def gbc_count(graph: BipartiteGraph, query: BicliqueQuery,
 
     weights = row_lengths(inputs.index.offsets,
                           inputs.roots).astype(np.float64)
-    total = 0
     per_root_cycles = [0.0] * len(inputs.roots)
-    agg = KernelMetrics()
-    peak_words = 0
+    p, q, warps = inputs.p, inputs.q, spec.warps_per_block
     if engine.parallel:
-        for idxs, part in engine.map_shards(
-                lambda idxs: _gbc_chunk_kernel(inputs, idxs, spec, opts,
-                                               engine, htb1, htb2, pack),
-                len(inputs.roots), weights=weights):
-            part_total, part_cycles, part_agg, part_peak = part
-            total += part_total
-            agg.merge(part_agg)
-            peak_words = max(peak_words, part_peak)
-            for pos, i in enumerate(idxs):
-                per_root_cycles[i] = part_cycles[pos]
+        # one native frontier per root shard; the worker pool keeps the
+        # session's tables resident, so each task ships only its roots
+        # (the hybrid/balance knobs only shape simulated accounting)
+        if opts.use_htb:
+            def shard(roots):
+                return htb_shard_count(htb1, htb2, roots, p, q, warps)
+        else:
+            def shard(roots):
+                return csr_shard_count(pack, roots, p, q, warps)
+        agg = engine.new_metrics()
+        total, peak_words = merge_shard_counts(
+            engine.map_roots(shard, inputs.roots, weights))
     elif engine.frontier:
         # level-synchronous traversal (identical counts, one pairwise
         # kernel call per search level across every root); the hybrid
@@ -362,8 +369,7 @@ def gbc_count(graph: BipartiteGraph, query: BicliqueQuery,
         agg = engine.new_metrics()
         if opts.use_htb:
             total, peak_words = htb_frontier_count(
-                engine, agg, htb1, htb2, inputs.roots, inputs.p,
-                inputs.q, warps=spec.warps_per_block)
+                engine, agg, htb1, htb2, inputs.roots, p, q, warps=warps)
         else:
             if pack is not None:
                 adj = (pack.adj_offsets, pack.adj_values)
@@ -373,24 +379,23 @@ def gbc_count(graph: BipartiteGraph, query: BicliqueQuery,
                 idx = (inputs.index.offsets, inputs.index.neighbors)
             total, peak_words = csr_frontier_count(
                 engine, agg, adj[0], adj[1], idx[0], idx[1],
-                inputs.roots, inputs.p, inputs.q,
-                warps=spec.warps_per_block)
+                inputs.roots, p, q, warps=warps)
     else:
         total, per_root_cycles, agg, peak_words = _gbc_chunk_kernel(
             inputs, range(len(inputs.roots)), spec, opts, engine,
             htb1, htb2, pack)
 
     stealing = opts.balance in ("runtime", "joint")
-    if engine.frontier:
-        # no per-root cycle profile exists on the frontier path (the
-        # engine is uninstrumented and roots run level-batched, not
-        # block-by-block), so there is no schedule to simulate
-        sched = simulate_blocks([], spec, stealing=stealing)
-    else:
+    if engine.instrumented:
         assignment = assign_roots_to_blocks(inputs.roots, weights, blocks,
                                             opts.balance)
         costs = [[per_root_cycles[i] for i in blk] for blk in assignment]
         sched = simulate_blocks(costs, spec, stealing=stealing)
+    else:
+        # an uninstrumented engine has no per-root cycle profile (all
+        # costs are zero, or roots ran level-batched), so there is no
+        # schedule to simulate
+        sched = simulate_blocks([], spec, stealing=stealing)
 
     return DeviceRunResult(
         algorithm=opts.variant_name,
@@ -422,11 +427,11 @@ def _predicted_seconds(signals: CostSignals) -> float:
     """GBC's simulated-device prediction: HTB collapses word-aligned
     runs of comparisons into single coalesced transactions (§V-A) and
     hybrid DFS-BFS keeps warp lanes busy (§IV), so both the transaction
-    count and the idle-lane inflation drop relative to GBL.  On the
-    uninstrumented engines the Python HTB kernel makes it the slowest
-    *host* path — the cost hook says so, which is exactly why
-    ``method="auto"`` only picks GBC when the device model is the
-    headline."""
+    count and the idle-lane inflation drop relative to GBL.  On
+    ``fast`` the per-child Python HTB kernel makes it the slowest host
+    path; on ``native`` — and on ``par``, whose workers run the native
+    frontier over their root shards — whole HTB levels go through one
+    vectorised call each, priced with the native cost model."""
     if signals.backend == "sim":
         metrics = KernelMetrics(
             global_transactions=int(signals.comparisons / 16) + 1,
@@ -435,23 +440,27 @@ def _predicted_seconds(signals: CostSignals) -> float:
         )
         metrics.record_slots(active=3, total=4)      # hybrid DFS-BFS
         return kernel_seconds(metrics, signals.device)
-    overhead = GBC_NATIVE_OVERHEAD if signals.backend == "native" \
+    engine = signals.device_engine
+    overhead = GBC_NATIVE_OVERHEAD if engine == "native" \
         else GBC_HOST_OVERHEAD
     enum = overhead * signals.enum_seconds(signals.merge_calls,
-                                           signals.comparisons)
-    htb = (signals.num_edges * HTB_BUILD_SECONDS_PER_EDGE
-           + (signals.num_u + signals.num_v) * HTB_BUILD_SECONDS_PER_VERTEX)
-    return signals.priority_prepare_seconds() + htb + signals.sharded(enum)
+                                           signals.comparisons, engine)
+    htb = (HTB_BUILD_BASE_SECONDS
+           + signals.num_edges * HTB_BUILD_SECONDS_PER_EDGE)
+    return (signals.priority_prepare_seconds() + htb
+            + signals.sharded(enum, engine))
 
 
 #: fast-backend wall overhead of the Python HTB kernel vs plain BCL
 GBC_HOST_OVERHEAD = 2.5
 #: native-backend overhead: whole HTB frontiers per vectorised call
-#: instead of one Python bitmap intersection per child
-GBC_NATIVE_OVERHEAD = 1.4
-#: HTB materialisation cost per edge / per vertex
-HTB_BUILD_SECONDS_PER_EDGE = 1.5e-6
-HTB_BUILD_SECONDS_PER_VERTEX = 5e-6
+#: instead of one Python bitmap intersection per child (median measured
+#: ratio over the tiny and bench stand-ins; GBL's is 1.5)
+GBC_NATIVE_OVERHEAD = 1.1
+#: HTB materialisation: fixed cost plus cost per edge (fitted to the
+#: measured ``prepare.htb_*`` spans)
+HTB_BUILD_BASE_SECONDS = 1.5e-4
+HTB_BUILD_SECONDS_PER_EDGE = 5.1e-8
 
 register_method(MethodSpec(
     name="GBC",

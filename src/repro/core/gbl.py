@@ -21,7 +21,11 @@ from repro.core.device_common import (
     prepare_device_inputs,
     resolve_native_pack,
 )
-from repro.core.frontier import csr_frontier_count
+from repro.core.frontier import (
+    csr_frontier_count,
+    csr_shard_count,
+    merge_shard_counts,
+)
 from repro.graph.csr import row_lengths
 from repro.engine.base import KernelBackend, resolve_backend
 from repro.gpu.costmodel import effective_cycles, kernel_seconds
@@ -117,7 +121,9 @@ def gbl_count(graph: BipartiteGraph, query: BicliqueQuery,
     """Count (p, q)-bicliques with the GPU baseline on the simulator.
 
     ``session=`` (a :class:`repro.query.GraphSession`) serves the
-    priority order and two-hop index from the per-graph caches.
+    priority order and two-hop index from the per-graph caches.  With
+    ``backend="par"`` (or ``workers=``) each worker runs the native
+    frontier kernels over one shard of the roots.
     """
     spec = spec or rtx_3090()
     engine = resolve_backend(backend, spec, workers=workers)
@@ -128,18 +134,17 @@ def gbl_count(graph: BipartiteGraph, query: BicliqueQuery,
 
     weights = row_lengths(inputs.index.offsets,
                           inputs.roots).astype(np.float64)
-    total = 0
     per_root_cycles = [0.0] * len(inputs.roots)
-    agg = KernelMetrics()
+    p, q, warps = inputs.p, inputs.q, spec.warps_per_block
     if engine.parallel:
-        for idxs, (part_total, part_cycles, part_agg) in engine.map_shards(
-                lambda idxs: _gbl_chunk_kernel(inputs, idxs, spec, engine,
-                                               pack),
-                len(inputs.roots), weights=weights):
-            total += part_total
-            agg.merge(part_agg)
-            for pos, i in enumerate(idxs):
-                per_root_cycles[i] = part_cycles[pos]
+        # one native frontier per root shard over the (pool-resident)
+        # native pack; shard totals sum exactly
+        def shard(roots):
+            return csr_shard_count(pack, roots, p, q, warps)
+
+        agg = engine.new_metrics()
+        total, _ = merge_shard_counts(
+            engine.map_roots(shard, inputs.roots, weights))
     elif engine.frontier:
         # level-synchronous traversal: one pairwise kernel call per
         # search level across every root (identical counts, none of the
@@ -153,21 +158,21 @@ def gbl_count(graph: BipartiteGraph, query: BicliqueQuery,
         agg = engine.new_metrics()
         total, _ = csr_frontier_count(
             engine, agg, adj[0], adj[1], idx[0], idx[1], inputs.roots,
-            inputs.p, inputs.q, warps=spec.warps_per_block)
+            p, q, warps=warps)
     else:
         total, per_root_cycles, agg = _gbl_chunk_kernel(
             inputs, range(len(inputs.roots)), spec, engine, pack)
 
-    if engine.frontier:
-        # no per-root cycle profile exists on the frontier path (the
-        # engine is uninstrumented and roots run level-batched, not
-        # block-by-block), so there is no schedule to simulate
-        sched = simulate_blocks([], spec, stealing=False)
-    else:
+    if engine.instrumented:
         assignment = assign_roots_to_blocks(inputs.roots, weights, blocks,
                                             "interleave")
         costs = [[per_root_cycles[i] for i in blk] for blk in assignment]
         sched = simulate_blocks(costs, spec, stealing=False)
+    else:
+        # an uninstrumented engine has no per-root cycle profile (all
+        # costs are zero, or roots ran level-batched), so there is no
+        # schedule to simulate
+        sched = simulate_blocks([], spec, stealing=False)
 
     return DeviceRunResult(
         algorithm="GBL",
@@ -203,18 +208,21 @@ def _predicted_seconds(signals: CostSignals) -> float:
         )
         metrics.record_slots(active=1, total=4)      # sparse warp lanes
         return kernel_seconds(metrics, signals.device)
-    overhead = GBL_NATIVE_OVERHEAD if signals.backend == "native" \
+    engine = signals.device_engine
+    overhead = GBL_NATIVE_OVERHEAD if engine == "native" \
         else GBL_HOST_OVERHEAD
     enum = overhead * signals.enum_seconds(signals.merge_calls,
-                                           signals.comparisons)
-    return signals.priority_prepare_seconds() + signals.sharded(enum)
+                                           signals.comparisons, engine)
+    return signals.priority_prepare_seconds() + signals.sharded(enum, engine)
 
 
 #: fast-backend wall overhead of the device bookkeeping vs plain BCL
 GBL_HOST_OVERHEAD = 1.25
 #: native-backend overhead: frontier batching amortises the per-call
-#: bookkeeping across each level's kernel submission
-GBL_NATIVE_OVERHEAD = 1.1
+#: bookkeeping across each level's kernel submission, but every level
+#: still materialises CSR rows where GBC ANDs bitmap words (median
+#: measured ratio over the tiny and bench stand-ins)
+GBL_NATIVE_OVERHEAD = 1.5
 
 register_method(MethodSpec(
     name="GBL",

@@ -7,9 +7,11 @@ Planning/definition (which sets intersect, in which order) lives in
   GPU every paper figure is measured with;
 * ``"fast"`` — :class:`FastBackend`, raw vectorised NumPy with all
   instrumentation compiled out;
-* ``"par"`` — :class:`ParallelBackend`, the fast kernels sharded over
-  forked worker processes with deterministic merging (counts identical
-  to a serial fast run for any worker count);
+* ``"par"`` — :class:`ParallelBackend`, roots sharded over persistent
+  forked worker processes (native frontier kernels per shard for the
+  device counters, fast kernels for the host baselines) with
+  deterministic merging (counts identical to a serial run for any
+  worker count);
 * ``"native"`` — :class:`~repro.engine.native.NativeBackend`, the
   batch-kernel engine: whole frontiers of intersections per vectorised
   (optionally numba-JIT) kernel call, counts bit-identical to ``fast``.

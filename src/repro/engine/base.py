@@ -16,9 +16,10 @@ search (which sets intersect, in which order) is separated from its
 * :class:`repro.engine.fast.FastBackend` — pure vectorised NumPy with all
   timing, comparison counting and transaction charging compiled out; the
   speed path for large graphs.
-* :class:`repro.engine.parallel.ParallelBackend` — the fast kernels
-  sharded over forked worker processes; counts stay bit-identical to a
-  serial fast run while the root set executes in parallel.
+* :class:`repro.engine.parallel.ParallelBackend` — the root set sharded
+  over persistent forked workers (native frontier kernels per shard for
+  the device counters, fast kernels for the host baselines); counts stay
+  bit-identical to a serial run.
 * :class:`repro.engine.native.NativeBackend` — the batch-kernel engine:
   whole frontiers of intersections execute as single vectorised (or
   numba-JIT-compiled) kernels over the flat CSR/HTB arrays.
@@ -74,7 +75,8 @@ class KernelBackend(ABC):
     instrumented: bool = False
     #: whether this backend shards per-root work over worker processes —
     #: the counting drivers route their root loop through ``map_shards``
-    #: when set (see :class:`repro.engine.parallel.ParallelBackend`)
+    #: (or ``map_roots``) when set (see
+    #: :class:`repro.engine.parallel.ParallelBackend`)
     parallel: bool = False
 
     # -- kernel primitives ---------------------------------------------

@@ -1,19 +1,31 @@
 """The sharded multi-process execution engine.
 
 :class:`ParallelBackend` is the third registry engine (``"par"``): it
-shards the root set across ``workers`` forked processes, each executing
-the uninstrumented :class:`~repro.engine.fast.FastBackend` kernels, and
-merges the per-shard results deterministically.  Static placement uses
-the pre-runtime splitters of :mod:`repro.balance` (``contiguous`` or the
-weighted-greedy LPT policy); the ``dynamic`` dispatch mode feeds small
-chunks to a shared queue, mirroring the GCL work-stealing semantics of
-:mod:`repro.gpu.workqueue` at process granularity.
+shards the root set across ``workers`` processes of the persistent pool
+(:mod:`repro.parallel.procpool`) and merges the per-shard results
+deterministically.  What a worker runs depends on the counter:
 
-Counts are bit-identical to a serial ``fast`` run regardless of worker
-count, placement, or scheduling order: every root's search tree is
-evaluated exactly as the serial engine would, and the merge is either a
-scatter by original root index or an exact integer sum / maximum.  Like
-the fast engine, ``par`` is uninstrumented — device metrics stay zero.
+* the **device counters** (GBC, its NH/NB/NW ablations, and GBL) run
+  the native engine's level-synchronous frontier kernels
+  (:mod:`repro.core.frontier`) — one frontier per root shard, over the
+  session's HTB pair or native CSR pack.  The parent sums the shard
+  totals and takes the largest working-set peak; no per-root cycle
+  profile or block schedule exists on this path;
+* the **host baselines** (Basic, BCL, BCLP) run the uninstrumented
+  :class:`~repro.engine.fast.FastBackend` kernels per root, with
+  per-root data scattered back into priority order.
+
+Static placement uses the pre-runtime splitters of :mod:`repro.balance`
+(``contiguous`` or the weighted-greedy LPT policy); the ``dynamic``
+dispatch mode feeds small chunks to a shared queue, mirroring the GCL
+work-stealing semantics of :mod:`repro.gpu.workqueue` at process
+granularity.
+
+Counts are bit-identical to a serial run regardless of worker count,
+placement, or scheduling order: every root's search tree is evaluated
+exactly as a serial engine would, and the merge is either a scatter by
+original root index or an exact integer sum / maximum.  ``par`` is
+uninstrumented — device metrics stay zero.
 
 As a :class:`KernelBackend` its four primitives simply delegate to an
 inner fast engine, so code paths without a sharded driver (enumeration,
@@ -33,18 +45,23 @@ from repro.parallel.sharding import (
     DISPATCH_MODES,
     PLACEMENTS,
     default_workers,
+    plan_shards,
     run_sharded,
+    run_shards,
 )
 
 __all__ = ["ParallelBackend"]
 
 
 class ParallelBackend(KernelBackend):
-    """Root-set sharding over forked workers, fast kernels inside."""
+    """Root-set sharding over forked workers: native frontier kernels
+    for the device counters, fast kernels for the host baselines."""
 
     name = "par"
     instrumented = False
     parallel = True
+    #: the device counters' CSR shards run over a native pack
+    wants_pack = True
 
     def __init__(self, workers: int | None = None, *,
                  placement: str = "weighted",
@@ -85,13 +102,33 @@ class ParallelBackend(KernelBackend):
 
         Returns ``[(item_indices, result), ...]`` in deterministic shard
         order; see :func:`repro.parallel.sharding.run_sharded`.  The
-        sharded drivers in :mod:`repro.core` call this with a closure
-        over their prepared inputs (forked workers inherit them).
+        host baselines in :mod:`repro.core` call this with a closure
+        over their prepared inputs.
         """
         return run_sharded(fn, num_items, workers=self.workers,
                            placement=self.placement, weights=weights,
                            dispatch=self.dispatch,
                            chunk_size=self.chunk_size)
+
+    def map_roots(self, fn: Callable[[np.ndarray], Any], roots: np.ndarray,
+                  weights: np.ndarray | None = None) -> list:
+        """Run ``fn(shard_roots)`` over shards of ``roots``.
+
+        Shards are planned exactly as in :meth:`map_shards`; each task
+        carries its roots (in their original order) rather than their
+        positions, so ``fn`` need not close over the per-query root
+        array and the pool ships only the tables ``fn`` closes over.
+        Results come back in shard order.
+        """
+        roots = np.asarray(roots, dtype=np.int64)
+        plan = plan_shards(len(roots), self.workers,
+                           placement=self.placement, weights=weights,
+                           dispatch=self.dispatch,
+                           chunk_size=self.chunk_size)
+        shards = [roots[np.sort(np.asarray(s, dtype=np.int64))]
+                  for s in plan.shards]
+        return run_shards(fn, shards, workers=self.workers,
+                          dispatch=self.dispatch)
 
     # -- kernel primitives: delegate to the fast engine ----------------
     def merge(self, a: np.ndarray, b: np.ndarray,

@@ -17,19 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph, LAYER_U, LAYER_V
-from repro.graph.twohop import two_hop_multiset
+from repro.graph.twohop import TwoHopIndex, build_wedge_index
 
-__all__ = ["priority_order", "priority_order_from_sizes", "priority_rank",
-           "rank_from_order", "select_layer", "wedge_mass"]
+__all__ = ["priority_index", "priority_order", "priority_order_from_sizes",
+           "priority_rank", "rank_from_order", "select_layer", "wedge_mass"]
 
 
 def _n2k_sizes(graph: BipartiteGraph, layer: str, k: int) -> np.ndarray:
-    n = graph.layer_size(layer)
-    sizes = np.zeros(n, dtype=np.int64)
-    for u in range(n):
-        _, counts = two_hop_multiset(graph, layer, u)
-        sizes[u] = int(np.count_nonzero(counts >= k))
-    return sizes
+    return build_wedge_index(graph, layer).n2k_sizes(k)
 
 
 def priority_order(graph: BipartiteGraph, layer: str, k: int) -> np.ndarray:
@@ -52,6 +47,17 @@ def priority_order_from_sizes(sizes: np.ndarray) -> np.ndarray:
     """
     ids = np.arange(len(sizes), dtype=np.int64)
     return ids[np.lexsort((ids, sizes))]
+
+
+def priority_index(graph: BipartiteGraph, layer: str, k: int
+                   ) -> tuple[np.ndarray, np.ndarray, TwoHopIndex]:
+    """Priority order, its rank, and the rank-filtered N2^k index, all
+    from one wedge pass — what a :class:`repro.query.GraphSession`
+    derives from its cached :class:`~repro.graph.twohop.WedgeIndex`."""
+    wedges = build_wedge_index(graph, layer)
+    order = priority_order_from_sizes(wedges.n2k_sizes(k))
+    rank = rank_from_order(order)
+    return order, rank, wedges.two_hop_index(k, min_priority_rank=rank)
 
 
 def rank_from_order(order: np.ndarray) -> np.ndarray:

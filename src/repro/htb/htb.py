@@ -81,6 +81,12 @@ class HTB:
     def num_vertices(self) -> int:
         return len(self.off) - 1
 
+    def __getstate__(self) -> dict:
+        # the memoised per-vertex views and offset list rebuild on
+        # demand; a pickle (a worker-pool shipment) carries the arrays only
+        return {k: v for k, v in self.__dict__.items()
+                if not k.startswith("_")}
+
     def view(self, vertex: int) -> BitmapSet:
         """The (idx, val) slice for ``vertex`` — zero-copy views, memoised
         per vertex (the flat arrays are immutable after construction)."""

@@ -47,8 +47,8 @@ from repro.balance.preruntime import contiguous_split, weighted_greedy_split
 from repro.errors import QueryError
 from repro.parallel import procpool
 
-__all__ = ["ShardPlan", "plan_shards", "run_sharded", "default_workers",
-           "PLACEMENTS", "DISPATCH_MODES"]
+__all__ = ["ShardPlan", "plan_shards", "run_sharded", "run_shards",
+           "default_workers", "PLACEMENTS", "DISPATCH_MODES"]
 
 PLACEMENTS = ("contiguous", "weighted")
 DISPATCH_MODES = ("static", "dynamic")
@@ -164,13 +164,6 @@ def _run_shard(shard_id: int) -> tuple[int, Any]:
     return shard_id, fn(shards[shard_id])
 
 
-def _fork_available() -> bool:
-    if "fork" not in mp.get_all_start_methods():
-        return False  # pragma: no cover - non-POSIX platforms
-    # daemonic pool workers may not spawn their own children
-    return not mp.current_process().daemon
-
-
 def run_sharded(fn: Callable[[Sequence[int]], Any],
                 num_items: int, *,
                 workers: int | None = None,
@@ -192,11 +185,24 @@ def run_sharded(fn: Callable[[Sequence[int]], Any],
     plan = plan_shards(num_items, workers, placement=placement,
                        weights=weights, dispatch=dispatch,
                        chunk_size=chunk_size)
-    shards = plan.shards
+    return list(zip(plan.shards, run_shards(fn, plan.shards,
+                                            workers=workers,
+                                            dispatch=dispatch)))
+
+
+def run_shards(fn: Callable[[Any], Any], shards: Sequence[Any], *,
+               workers: int, dispatch: str = "static") -> list:
+    """Run ``fn(shard)`` for every shard; results in shard order.
+
+    A shard is whatever ``fn`` consumes — item indices for
+    :func:`run_sharded`, root-id arrays for the frontier counters — and
+    rides to the worker with each task.  Execution order and process
+    placement never affect the returned list.
+    """
     if not shards:
         return []
-    if workers <= 1 or len(shards) == 1 or not _fork_available():
-        return [(shard, fn(shard)) for shard in shards]
+    if workers <= 1 or len(shards) == 1 or not procpool.fork_available():
+        return [fn(shard) for shard in shards]
 
     # first choice: the persistent pool — workers forked once per
     # process and re-fed across calls, so repeated sharded counts skip
@@ -205,12 +211,14 @@ def run_sharded(fn: Callable[[Sequence[int]], Any],
     pool = procpool.get_pool(min(workers, len(shards)))
     if pool is not None:
         try:
-            flat = pool.run(fn, shards)
+            return pool.run(fn, shards)
         except procpool.ShipError:
             pass
-        else:
-            return [(shards[sid], res) for sid, res in enumerate(flat)]
+    return _run_forked(fn, shards, workers, dispatch)
 
+
+def _run_forked(fn, shards, workers: int, dispatch: str) -> list:
+    """The legacy fork-per-call pool: children inherit ``fn``."""
     ctx = mp.get_context("fork")
     with ctx.Pool(processes=min(workers, len(shards)),
                   initializer=_init_worker,
@@ -225,4 +233,4 @@ def run_sharded(fn: Callable[[Sequence[int]], Any],
             results = pool.map(_run_shard, range(len(shards)),
                                chunksize=1)
     results.sort(key=lambda pair: pair[0])
-    return [(shards[sid], res) for sid, res in results]
+    return [res for _, res in results]

@@ -71,8 +71,9 @@ def prepared_keys(mspec: MethodSpec, graph, query,
     effective two-hop depth ``k`` are resolved exactly as the counter
     will resolve them, so warming a plan's requirements is equivalent to
     letting the counter build lazily — just observable and timeable.
-    Device-model methods running on the ``native`` engine additionally
-    require that engine's repacked CSR arrays (``native:<layer>:<k>``).
+    Device-model methods running the native kernels (on the ``native``
+    engine, or in ``par`` workers) additionally require that engine's
+    repacked CSR arrays (``native:<layer>:<k>``).
     """
     if not mspec.supports_layer:        # Basic: always anchored on U
         anchored, k = LAYER_U, query.q
@@ -85,7 +86,7 @@ def prepared_keys(mspec: MethodSpec, graph, query,
             keys.append(f"wedges:{anchored}")
         else:
             keys.append(f"{kind}:{anchored}:{k}")
-    if backend == "native" and mspec.device_model:
+    if backend in ("native", "par") and mspec.device_model:
         keys.append(f"native:{anchored}:{k}")
     return tuple(keys)
 

@@ -73,9 +73,11 @@ def ensure_accuracy(accuracy: str) -> str:
 # The probe (repro.core.estimate.sample_root_profile) measures *counted
 # work* — merge invocations, merge comparisons, promising-root
 # populations — which is deterministic for a fixed seed.  These
-# constants convert counted work into predicted headline seconds; they
-# were least-squares fitted against measured preparation and
-# enumeration times on the Table II tiny stand-ins (fast backend), and
+# constants convert counted work into predicted headline seconds.  The
+# enumeration constants were least-squares fitted against measured
+# enumeration times on the Table II tiny stand-ins (fast backend); the
+# prepare constants against the measured ``prepare.*`` spans (one wedge
+# pass, then order/index filters) on the tiny and bench stand-ins.
 # ``benchmarks/test_plan_accuracy.py`` re-checks the resulting *choices*
 # end to end on every stand-in.  Absolute accuracy is secondary to
 # ranking accuracy, the same way the paper's SIMT cost model only needs
@@ -87,24 +89,24 @@ def ensure_accuracy(accuracy: str) -> str:
 SECONDS_PER_MERGE_CALL = 3.7e-6
 #: marginal cost per merge comparison
 SECONDS_PER_COMPARISON = 2.0e-8
-#: priority prepare: per-edge / per-wedge / per-vertex coefficients and
-#: intercept of the fitted linear model (wedge pass + reorder + index)
-PRIORITY_PREP_EDGE = 2.5e-6
-PRIORITY_PREP_WEDGE = 7.0e-7
-PRIORITY_PREP_VERTEX = 1.3e-5
-PRIORITY_PREP_BASE = -2.1e-3
-#: id-order prepare (Basic): no wedge-mass reorder, one pass per root
-ID_PREP_BASE = 3.0e-4
-ID_PREP_VERTEX = 2.7e-5
-ID_PREP_WEDGE = 1.0e-7
+#: priority prepare: intercept and per-wedge cost of the wedge pass,
+#: Definition-2 reorder and rank-filtered index (edge and vertex terms
+#: fitted to zero once the wedge pass was vectorised)
+PRIORITY_PREP_BASE = 2.1e-4
+PRIORITY_PREP_WEDGE = 4.1e-8
+#: id-order prepare (Basic): no wedge-mass reorder, always anchored on U
+ID_PREP_BASE = 1.6e-4
+ID_PREP_VERTEX = 3.3e-7
+ID_PREP_WEDGE = 3.5e-8
 #: floor below which prepare predictions are meaningless noise
 PREP_FLOOR = 1.0e-4
 #: per-root loop overhead of BCLP's per-root measurement pass
 SECONDS_PER_ROOT_PROFILED = 2.0e-6
 #: instrumented (sim) kernels cost this much more per operation
 SIM_INSTRUMENT_FACTOR = 30.0
-#: flat cost of forking the par worker pool
-FORK_SECONDS = 0.08
+#: flat cost of one sharded call on the persistent worker pool (pipe
+#: round trips + shard pickling; measured 0.2-0.5 ms on 2 workers)
+POOL_DISPATCH_SECONDS = 3.0e-4
 
 
 @dataclass(frozen=True)
@@ -203,10 +205,7 @@ class CostSignals:
         on the anchored view (what BCL/BCLP/GBL/GBC all pay)."""
         return max(PREP_FLOOR,
                    PRIORITY_PREP_BASE
-                   + self.num_edges * PRIORITY_PREP_EDGE
-                   + self.wedge_ops * PRIORITY_PREP_WEDGE
-                   + (self.anchored_num_u + self.anchored_num_v)
-                   * PRIORITY_PREP_VERTEX)
+                   + self.wedge_ops * PRIORITY_PREP_WEDGE)
 
     def id_prepare_seconds(self) -> float:
         """Predicted id-ordered two-hop index build — Basic's whole
@@ -216,16 +215,24 @@ class CostSignals:
                    + self.num_u * ID_PREP_VERTEX
                    + self.wedge_ops_id * ID_PREP_WEDGE)
 
-    def enum_seconds(self, merge_calls: float, comparisons: float) -> float:
+    @property
+    def device_engine(self) -> str:
+        """The engine whose kernels the device counters (GBL/GBC) run:
+        a ``par`` worker runs the native frontier kernels on its root
+        shard, every other engine runs its own."""
+        return "native" if self.backend == "par" else self.backend
+
+    def enum_seconds(self, merge_calls: float, comparisons: float,
+                     engine: str | None = None) -> float:
         """Predicted serial enumeration cost for counted work.
 
-        Priced with the engine's registered
-        :class:`BackendCostModel` when one exists (the batch-kernel
-        ``native`` engine amortises per-call dispatch, so its per-call
-        constant is far below the ``fast`` default); unregistered
-        engines use the fitted ``fast`` constants.
+        Priced with the registered :class:`BackendCostModel` of
+        ``engine`` (default: the plan's backend) when one exists (the
+        batch-kernel ``native`` engine amortises per-call dispatch, so
+        its per-call constant is far below the ``fast`` default);
+        unregistered engines use the fitted ``fast`` constants.
         """
-        model = backend_cost(self.backend)
+        model = backend_cost(engine or self.backend)
         call_s = model.seconds_per_merge_call if model is not None \
             else SECONDS_PER_MERGE_CALL
         cmp_s = model.seconds_per_comparison if model is not None \
@@ -235,19 +242,21 @@ class CostSignals:
             seconds *= SIM_INSTRUMENT_FACTOR
         return seconds
 
-    def max_root_seconds(self) -> float:
+    def max_root_seconds(self, engine: str | None = None) -> float:
         """Predicted cost of the heaviest sampled root's search tree —
         the lower bound skew puts on any per-root parallel schedule."""
         return self.enum_seconds(self.max_root_merge_calls,
-                                 self.max_root_comparisons)
+                                 self.max_root_comparisons, engine=engine)
 
-    def sharded(self, enum: float) -> float:
-        """Apply the par backend's fork overhead and worker split."""
+    def sharded(self, enum: float, engine: str | None = None) -> float:
+        """Apply the par backend's worker split and pool dispatch cost
+        (``engine`` names the kernels the workers run, as in
+        :meth:`enum_seconds`)."""
         if self.backend != "par":
             return enum
         workers = self.workers if self.workers else 4
-        return (max(enum / max(workers, 1), self.max_root_seconds())
-                + FORK_SECONDS)
+        return (max(enum / max(workers, 1), self.max_root_seconds(engine))
+                + POOL_DISPATCH_SECONDS)
 
 
 @dataclass(frozen=True)

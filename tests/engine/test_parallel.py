@@ -26,7 +26,7 @@ from repro.engine import (
 )
 from repro.errors import QueryError
 from repro.gpu.metrics import KernelMetrics
-from repro.parallel import plan_shards, run_sharded
+from repro.parallel import plan_shards, procpool, run_sharded, sharding
 from repro.graph.generators import power_law_bipartite, random_bipartite
 
 ALGORITHMS = [basic_count, bcl_count, bclp_count, gbl_count, gbc_count]
@@ -238,3 +238,63 @@ class TestBenchAndRunnerThreading:
                           workers=2)
         assert len(runs) == 2
         assert len({r.count for r in runs}) == 1
+
+
+class TestUninstrumentedAccounting:
+    """Engines without instrumentation simulate no block schedule: every
+    per-root cost is zero (fast) or no per-root profile exists (par,
+    native), so makespan and device seconds are zero, not the cost of
+    simulating empty blocks."""
+
+    @pytest.mark.parametrize("fn", [gbc_count, gbl_count],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("backend", ["fast", "par", "native"])
+    def test_zero_makespan_and_device_seconds(self, fn, backend):
+        graph = power_law_bipartite(50, 40, 260, seed=13)
+        query = BicliqueQuery(3, 2)
+        workers = 2 if backend == "par" else None
+        res = fn(graph, query, backend=backend, workers=workers)
+        assert res.backend == backend and not res.backend_instrumented
+        assert res.makespan_cycles == 0
+        assert res.device_seconds == 0
+        assert res.count == fn(graph, query, backend="sim").count
+
+    def test_sim_still_simulates_the_schedule(self):
+        graph = power_law_bipartite(50, 40, 260, seed=13)
+        res = gbc_count(graph, BicliqueQuery(3, 2))
+        assert res.makespan_cycles > 0 and res.device_seconds > 0
+
+
+@pytest.mark.skipif(not procpool.fork_available(),
+                    reason="no fork on this platform")
+class TestPersistentPoolPath:
+    """The device counters on ``par`` run through the persistent pool:
+    the same worker processes serve every call, and the legacy
+    fork-per-call pool is never reached."""
+
+    def test_device_counts_reuse_persistent_workers(self, monkeypatch):
+        procpool.shutdown_pools()
+
+        def no_legacy_pool(*args, **kwargs):
+            raise AssertionError("legacy fork-per-call pool reached")
+
+        monkeypatch.setattr(sharding, "_run_forked", no_legacy_pool)
+        served = []
+        run = procpool.PersistentPool.run
+
+        def recording_run(pool, fn, shards):
+            served.append(tuple(pool.worker_pids))
+            return run(pool, fn, shards)
+
+        monkeypatch.setattr(procpool.PersistentPool, "run", recording_run)
+        query = BicliqueQuery(2, 2)
+        try:
+            for graph in (power_law_bipartite(60, 45, 300, seed=21),
+                          random_bipartite(40, 35, 260, seed=8)):
+                res = gbc_count(graph, query, workers=2)
+                assert res.count == gbc_count(graph, query,
+                                              backend="fast").count
+        finally:
+            procpool.shutdown_pools()
+        assert len(served) == 2
+        assert served[0] == served[1]

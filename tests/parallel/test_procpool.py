@@ -188,3 +188,44 @@ def test_par_backend_counts_identical_through_pool():
         par = gbc_count(g, BicliqueQuery(p, q), backend="par", workers=2)
         ref = gbc_count(g, BicliqueQuery(p, q), backend="fast")
         assert par.count == ref.count
+
+
+def test_gbc_htb_working_set_stays_resident(monkeypatch):
+    """GBC on ``par`` ships each session HTB to the workers once.  A
+    33-key working set — 11 graphs x 3 shapes, the size of the repo
+    benchmark's sharded counting stream — fits the worker token cache
+    (``CACHE_CAP``), so a second pass over the same keys ships no HTB
+    and only the shards' root ids travel."""
+    import pickle
+    from types import SimpleNamespace
+
+    from repro.core.counts import BicliqueQuery
+    from repro.graph.generators import power_law_bipartite
+    from repro.htb.htb import HTB
+    from repro.query import GraphSession
+
+    shipped = []
+
+    def counting_dumps(obj, *args, **kwargs):
+        if isinstance(obj, HTB):
+            shipped.append(obj)
+        return pickle.dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(procpool, "pickle", SimpleNamespace(
+        dumps=counting_dumps, loads=pickle.loads,
+        HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
+    sessions = [GraphSession(power_law_bipartite(60, 50, 320, seed=s))
+                for s in range(11)]
+    keys = [(s, BicliqueQuery(k, k)) for s in sessions for k in (2, 3, 4)]
+    assert len(keys) == 33
+
+    def one_pass():
+        return [s.count(q, "GBC", workers=2, use_cache=False).count
+                for s, q in keys]
+
+    first = one_pass()
+    assert shipped, "the first pass must ship the HTBs"
+    assert len({id(h) for h in shipped}) <= CACHE_CAP
+    shipped.clear()
+    assert one_pass() == first
+    assert shipped == []
