@@ -13,8 +13,12 @@ records the artifact, and then skips the bar.
 A second row pins what ``workers=`` means for the device counters: GBC
 on the ID stand-in (bench scale, prepared state warmed in one session)
 with ``par`` at 2 workers — the native frontier kernels over two root
-shards — must beat single-process ``native`` on any host with at least
-2 usable CPUs.
+shards — must take at most ``GBC_MAX_PAR_SHARE`` of single-process
+``native``'s wall time on any host with at least 2 usable CPUs.  The
+two engines' runs are interleaved and compared by their medians, so a
+drift in host speed or one slow run (a noisy neighbour, a pool
+warm-up) hits both alike instead of flipping the comparison; the
+margin asks for a real win, not a tie decided by noise.
 
 Runs as part of the slow benchmark suite (``pytest -m "" benchmarks``)
 or directly: ``python benchmarks/test_parallel_speedup.py``.
@@ -40,6 +44,9 @@ GBC_DATASET = "ID"
 GBC_QUERIES = (BicliqueQuery(3, 3), BicliqueQuery(4, 4))
 GBC_WORKERS = 2
 GBC_REPS = 5
+#: par/2 must finish within this share of native's median (measured
+#: 0.5-0.65 on a 2-vCPU host)
+GBC_MAX_PAR_SHARE = 0.9
 
 
 def _usable_cpus() -> int:
@@ -141,9 +148,9 @@ def test_gbc_par_beats_native(save_artifact):
     for query, engines in by_shape.items():
         native = engines["native"][1]
         par = engines[f"par/{GBC_WORKERS}"][1]
-        assert par < native, (
-            f"{query}: par/{GBC_WORKERS} {par * 1e3:.1f} ms not faster "
-            f"than native {native * 1e3:.1f} ms")
+        assert par <= GBC_MAX_PAR_SHARE * native, (
+            f"{query}: par/{GBC_WORKERS} {par * 1e3:.1f} ms is not within "
+            f"{GBC_MAX_PAR_SHARE}x native {native * 1e3:.1f} ms")
 
 
 if __name__ == "__main__":  # pragma: no cover - manual run

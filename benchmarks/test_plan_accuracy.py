@@ -1,14 +1,19 @@
 """Planner accuracy on the Table II stand-ins: predicted vs measured.
 
 For every stand-in dataset this harness ranks the candidate plans with
-``method="auto"``, then measures every explicit method's headline time
-on the fast backend (best of ``REPS`` runs — single tiny-graph timings
-are noise) and checks the planner's promise end to end:
+``method="auto"``, then measures how long the caller waits for every
+explicit method on the fast backend (best of ``REPS`` runs — single
+tiny-graph timings are noise) and checks the planner's promise end to
+end:
 
 * **bit-identical counts** — the auto-chosen method agrees with every
   explicit method on every dataset;
-* **within 2x of best** — the auto choice's *measured* headline seconds
-  are at most ``MAX_RATIO`` times the best explicit method's.
+* **within 2x of best** — the auto choice's *measured* seconds are at
+  most ``MAX_RATIO`` times the best explicit method's.
+
+On the fast backend every method's headline is its wall time except
+BCLP's, a modelled 16-thread makespan; the planner prices the wait, so
+that is what is measured here.
 
 The per-dataset table of predicted vs measured seconds is written to
 ``benchmarks/artifacts/BENCH_plan.json`` — the perf-trajectory artifact
@@ -26,7 +31,7 @@ from pathlib import Path
 
 from repro import BicliqueQuery, CostLedger, Planner
 from repro.bench.datasets import list_datasets, load_dataset
-from repro.bench.runner import headline_seconds, run_method
+from repro.bench.runner import run_method
 from repro.graph.stats import graph_fingerprint
 from repro.plan import execute_plan
 
@@ -38,12 +43,14 @@ REPS = 3
 MAX_RATIO = 2.0
 
 
-def _measure_headline(method: str, graph) -> tuple[float, int]:
-    """Best-of-REPS headline seconds (and the count) for one method."""
+def _measure_wait(method: str, graph) -> tuple[float, int]:
+    """Best-of-REPS seconds the caller waits (and the count) for one
+    method."""
     best, count = float("inf"), None
     for _ in range(REPS):
+        t0 = time.perf_counter()
         result = run_method(method, graph, QUERY, backend=BACKEND)
-        best = min(best, headline_seconds(result))
+        best = min(best, time.perf_counter() - t0)
         count = result.count
     return best, count
 
@@ -56,7 +63,7 @@ def _measure_dataset(key: str, scale: str) -> dict:
 
     measured, counts = {}, {}
     for method in METHODS:
-        measured[method], counts[method] = _measure_headline(method, graph)
+        measured[method], counts[method] = _measure_wait(method, graph)
     # the chosen plan executes the identical counter/backend as the
     # explicit run of its method, so reuse that measurement — re-timing
     # the same code path would only add timer noise to the ratio; one
@@ -65,9 +72,7 @@ def _measure_dataset(key: str, scale: str) -> dict:
     if chosen.method in measured:
         auto_best = measured[chosen.method]
     else:
-        auto_best = min(
-            headline_seconds(execute_plan(chosen, graph, QUERY))
-            for _ in range(REPS))
+        auto_best, _ = _measure_wait(chosen.method, graph)
 
     best_method = min(measured, key=measured.get)
 

@@ -110,7 +110,7 @@ def run_method(method: str, graph: BipartiteGraph, query: BicliqueQuery,
     spec = spec or rtx_3090()
     plan = plan_query(graph, query, method, backend=backend,
                       workers=workers, layer=layer, session=session,
-                      spec=spec, threads=threads)
+                      spec=spec)
     return execute_plan(plan, graph, query, session=session, spec=spec,
                         backend=backend, options=options, threads=threads,
                         ledger=ledger)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from repro.bench import experiments as exp_mod
 from repro.bench.datasets import PAPER_STATS, list_datasets, load_dataset
@@ -36,6 +37,7 @@ from repro.graph.io import read_edge_list
 from repro.graph.stats import compute_stats
 from repro.plan import (ACCURACIES, AUTO, Planner, execute_plan,
                         explicit_plan, method_names)
+from repro.plan.execute import planned_seconds
 from repro.query import GraphSession, batch_count, parse_queries
 
 __all__ = ["main", "build_parser"]
@@ -300,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="probe seed (plans are deterministic per seed)")
     pe.add_argument("--measure", action="store_true",
                     help="also execute every candidate and report its "
-                         "measured headline seconds")
+                         "measured seconds (simulated device seconds on "
+                         "sim, the wall time waited elsewhere)")
     pe.add_argument("--accuracy", default="exact",
                     choices=list(ACCURACIES),
                     help="rank this service tier's candidates "
@@ -727,8 +730,10 @@ def _cmd_plan(args) -> int:
                        else format_seconds(plan.calibrated_seconds))
         row.append("exact" if rel is None else f"~{rel * 100:.0f}%")
         if args.measure:
-            row.append(format_seconds(headline_seconds(
-                execute_plan(plan, graph, query, ledger=ledger))))
+            t0 = time.perf_counter()
+            result = execute_plan(plan, graph, query, ledger=ledger)
+            row.append(format_seconds(planned_seconds(
+                result, time.perf_counter() - t0)))
         rows.append(row)
     print(f"graph: {graph}")
     print(render_table(

@@ -91,24 +91,16 @@ def bclp_count(graph, query: BicliqueQuery,
 
 
 def _predicted_seconds(signals: CostSignals) -> float:
-    """BCLP's headline is the modelled makespan: the serial enumeration
-    spread over ``threads``, floored by the heaviest root's tree (list
-    scheduling cannot split one root — the paper's skew-limited
-    scaling), plus the per-root profiling loop.
-
-    On ``par`` the root loop really runs across worker processes, and
-    ``workers=`` asks the planner for the parallelism those processes
-    realise; ranking a modelled ``threads``-way makespan against it
-    would choose a plan whose caller waits the full serial loop.  There
-    the hook prices the wall time the workers realise instead."""
+    """BCLP's headline is a modelled ``threads``-way makespan, but the
+    caller waits for the whole per-root measurement loop: the serial
+    enumeration (split over the workers on ``par``) plus the profiling
+    loop and the prepare.  The planner prices that wait, because its
+    predictions also drive deadline admission — ranking the modelled
+    makespan would admit requests that then overrun."""
     serial = signals.enum_seconds(signals.merge_calls, signals.comparisons)
     loop = signals.population * SECONDS_PER_ROOT_PROFILED
-    if signals.backend == "par":
-        return (signals.priority_prepare_seconds() + loop
-                + signals.sharded(serial))
-    makespan = max(serial / max(signals.threads, 1),
-                   signals.max_root_seconds())
-    return signals.priority_prepare_seconds() + loop + makespan
+    return (signals.priority_prepare_seconds() + loop
+            + signals.sharded(serial))
 
 
 register_method(MethodSpec(

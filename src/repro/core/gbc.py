@@ -483,7 +483,9 @@ for _variant in ("NH", "NB", "NW"):
         instrumented_metrics=True,
         device_model=True,
         ablation=True,
-        prepared_kinds=("wedges", "order", "two_hop", "htb"),
+        # NB runs the CSR path, the only consumer of the native pack
+        prepared_kinds=("wedges", "order", "two_hop",
+                        "native" if _variant == "NB" else "htb"),
         default_options=(lambda v=_variant: gbc_variant(v)),
         order=60 + ("NH", "NB", "NW").index(_variant),
         summary=f"Fig. 9 ablation: GBC without "

@@ -230,6 +230,7 @@ register_method(MethodSpec(
     accepts=("spec", "layer", "backend", "workers", "session"),
     instrumented_metrics=True,
     device_model=True,
+    prepared_kinds=("wedges", "order", "two_hop", "native"),
     cost=_predicted_seconds,
     order=40,
     summary="naive GPU port: binary-search intersections (§III-B)",

@@ -48,7 +48,7 @@ _FORMAT = 1
 class LedgerCell:
     """Measured history of one (fingerprint, shape, method, backend)."""
 
-    #: EWMA of measured headline seconds
+    #: EWMA of measured seconds (:func:`repro.plan.execute.planned_seconds`)
     observed_seconds: float
     #: EWMA of observed/predicted — None until a predicted>0 execution
     ratio: float | None

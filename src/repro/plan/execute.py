@@ -21,12 +21,13 @@ from repro.plan.ir import CountPlan
 from repro.plan.planner import Planner, prepared_keys
 from repro.plan.registry import AUTO, get_method
 
-__all__ = ["execute_plan", "explicit_plan", "plan_query", "warm_session"]
+__all__ = ["execute_plan", "explicit_plan", "plan_query",
+           "planned_seconds", "warm_session"]
 
-#: plan_query's (samples, seed, threads) defaults — requests matching
+#: plan_query's (samples, seed) probe defaults — requests matching
 #: them are served from a session's per-shape plan cache when one is
 #: supplied, which keys plans by shape only
-_DEFAULT_PROBE = (8, 0, 16)
+_DEFAULT_PROBE = (8, 0)
 
 
 def explicit_plan(graph, query, method: str, *,
@@ -73,7 +74,6 @@ def plan_query(graph, query, method: str = "GBC", *,
                backend=None, workers: int | None = None,
                layer: str | None = None, session=None, spec=None,
                samples: int = 8, seed: int = 0,
-               threads: int = 16,
                accuracy: str = "exact",
                deadline: float | None = None) -> CountPlan:
     """Turn a (possibly ``"auto"``) method request into a
@@ -98,12 +98,12 @@ def plan_query(graph, query, method: str = "GBC", *,
                 f"accuracy={accuracy!r} plans the method itself; pass "
                 f"method='auto' (got explicit method {method!r})")
         if session is not None \
-                and (samples, seed, threads) == _DEFAULT_PROBE:
+                and (samples, seed) == _DEFAULT_PROBE:
             return session.plan(query, backend=backend, workers=workers,
                                 layer=layer, accuracy=accuracy,
                                 deadline=deadline)
         planner = Planner(graph, spec=spec, session=session,
-                          samples=samples, seed=seed, threads=threads)
+                          samples=samples, seed=seed)
         return planner.plan(query, backend=backend, workers=workers,
                             layer=layer, accuracy=accuracy,
                             deadline=deadline)
@@ -142,20 +142,20 @@ def warm_session(session, plan: CountPlan) -> None:
                             f"requirement {key!r}")
 
 
-def _headline(result, elapsed: float) -> float:
-    """The headline seconds of one run, for the cost ledger.
+def planned_seconds(result, elapsed: float) -> float:
+    """The seconds of one run in the planner's currency, for the cost
+    ledger and ``plan explain --measure``.
 
-    Mirrors the headline convention of :class:`repro.bench.runner
-    .MethodRun`: instrumented engines report simulated device seconds,
-    everything else wall clock (with our own measurement as the
-    fallback for results that carry neither).
+    The cost hooks predict this currency: instrumented engines
+    report simulated device seconds, everything else the wall time the
+    caller waited (``elapsed``) — not a result's own ``wall_seconds``,
+    which for BCLP is a modelled multi-thread makespan no caller gets.
     """
     if getattr(result, "backend_instrumented", False):
         device = getattr(result, "device_seconds", None)
         if device is not None:
             return float(device)
-    wall = getattr(result, "wall_seconds", None)
-    return float(wall) if wall is not None else elapsed
+    return elapsed
 
 
 def execute_plan(plan: CountPlan, graph, query=None, *,
@@ -175,7 +175,7 @@ def execute_plan(plan: CountPlan, graph, query=None, *,
     theirs in the registry).
 
     ``ledger=`` (defaulting to the session's, when it carries one)
-    receives the run's measured headline seconds — this is the single
+    receives the run's :func:`planned_seconds` — this is the single
     site where every dispatcher's real executions feed the
     :class:`repro.obs.ledger.CostLedger`, because every dispatcher
     already resolves here.
@@ -223,7 +223,7 @@ def execute_plan(plan: CountPlan, graph, query=None, *,
             fingerprint = session.fingerprint if session is not None \
                 else graph_fingerprint(graph)
             ledger.record(fingerprint, plan.p, plan.q, plan.method,
-                          engine.name, _headline(result, elapsed),
+                          engine.name, planned_seconds(result, elapsed),
                           predicted_seconds=plan.predicted_seconds)
         sp.annotate(seconds=elapsed, count=getattr(result, "count", None))
     return result

@@ -71,9 +71,10 @@ def prepared_keys(mspec: MethodSpec, graph, query,
     effective two-hop depth ``k`` are resolved exactly as the counter
     will resolve them, so warming a plan's requirements is equivalent to
     letting the counter build lazily — just observable and timeable.
-    Device-model methods running the native kernels (on the ``native``
-    engine, or in ``par`` workers) additionally require that engine's
-    repacked CSR arrays (``native:<layer>:<k>``).
+    The ``native`` kind — the native engine's repacked CSR arrays
+    (``native:<layer>:<k>``), consumed by the CSR counters GBL and
+    GBC-NB — is required only where the native kernels run: on the
+    ``native`` engine, or in ``par`` workers.
     """
     if not mspec.supports_layer:        # Basic: always anchored on U
         anchored, k = LAYER_U, query.q
@@ -84,10 +85,8 @@ def prepared_keys(mspec: MethodSpec, graph, query,
     for kind in mspec.prepared_kinds:
         if kind == "wedges":
             keys.append(f"wedges:{anchored}")
-        else:
+        elif kind != "native" or backend in ("native", "par"):
             keys.append(f"{kind}:{anchored}:{k}")
-    if backend in ("native", "par") and mspec.device_model:
-        keys.append(f"native:{anchored}:{k}")
     return tuple(keys)
 
 
@@ -155,7 +154,7 @@ class Planner:
 
     def __init__(self, graph, spec=None, session=None, *,
                  samples: int = 8, seed: int = 0,
-                 threads: int = 16, ledger=None) -> None:
+                 ledger=None) -> None:
         if session is not None:
             session.check_owns(graph)
             if spec is None:
@@ -165,7 +164,6 @@ class Planner:
         self.session = session
         self.samples = int(samples)
         self.seed = int(seed)
-        self.threads = int(threads)
         self.ledger = ledger
         self._stats = None
         self._fp: str | None = None
@@ -250,7 +248,7 @@ class Planner:
             opposite = LAYER_U
         return CostSignals(
             p=query.p, q=query.q,
-            backend=backend, workers=workers, threads=self.threads,
+            backend=backend, workers=workers,
             anchored_layer=anchored,
             num_u=stats.num_u, num_v=stats.num_v,
             num_edges=stats.num_edges,

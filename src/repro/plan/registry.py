@@ -177,7 +177,6 @@ class CostSignals:
     q: int
     backend: str                 #: engine the plan will run on
     workers: int | None          #: par worker processes (None = default)
-    threads: int                 #: BCLP's modelled CPU thread count
     anchored_layer: str          #: layer the degree heuristic anchors on
     num_u: int                   #: original-orientation |U| (Basic's roots)
     num_v: int
@@ -281,8 +280,9 @@ class MethodSpec:
     #: honours layer= to pin the anchored layer
     supports_layer: bool = True
     #: prepared-state kinds the method consumes from a GraphSession
-    #: ("wedges", "order", "two_hop", "two_hop_id", "htb"); the planner
-    #: expands these into a plan's concrete ``prepared`` keys
+    #: ("wedges", "order", "two_hop", "two_hop_id", "htb", "native");
+    #: the planner expands these into a plan's concrete ``prepared``
+    #: keys ("native" only on engines that run the native kernels)
     prepared_kinds: tuple[str, ...] = ("wedges", "order", "two_hop")
     #: a paper-ablation variant, excluded from method="auto" candidates
     ablation: bool = False
@@ -291,8 +291,9 @@ class MethodSpec:
     #: (``accuracy="approx"`` / a deadline no exact plan can meet);
     #: results carry ``extras["ci95"]``-style error reporting
     approximate: bool = False
-    #: predicted headline seconds from probe signals (None = never
-    #: chosen automatically)
+    #: predicted seconds from probe signals — simulated device seconds
+    #: on ``sim``, the caller's wall wait elsewhere (None = never chosen
+    #: automatically)
     cost: Callable[[CostSignals], float] | None = None
     #: factory for the method's default options (GBC-* variants)
     default_options: Callable[[], Any] | None = None

@@ -104,3 +104,17 @@ class TestCalibration:
                              "GBC", "fast")
         assert cell is not None
         assert cell.ratio is None
+
+    def test_bclp_records_the_wait_not_its_model(self):
+        # BCLP's headline is a modelled 16-thread makespan; the ledger
+        # must learn what the caller waited, the currency BCLP's cost
+        # hook predicts, or calibration would price it at the model
+        graph = GRAPHS["power-law"]
+        query = BicliqueQuery(3, 2)
+        session = GraphSession(graph, ledger=CostLedger())
+        result = session.count(query, method="BCLP", backend="fast")
+        cell = session.ledger.lookup(session.fingerprint, query.p,
+                                     query.q, "BCLP", "fast")
+        waited = result.extras["measurement_wall_seconds"]
+        assert result.wall_seconds < waited
+        assert cell.last_observed >= waited

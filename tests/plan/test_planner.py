@@ -117,13 +117,17 @@ class TestEngineChoice:
 
     def test_free_choice_ranks_native_candidates(self):
         """With no pinned engine the ranking prices the device methods
-        on the native batch-kernel engine too, with its own cost model
-        and an extra ``native:<layer>:<k>`` prepared requirement."""
+        on the native batch-kernel engine too, with its own cost model;
+        the CSR counter GBL also requires the native engine's
+        ``native:<layer>:<k>`` repack, which GBC (HTB bitmaps) never
+        reads."""
         ranked = Planner(GRAPHS["random"]).rank(BicliqueQuery(2, 2))
         native = [p for p in ranked if p.backend == "native"]
         assert {p.method for p in native} == {"GBL", "GBC"}
         for plan in native:
-            assert any(key.startswith("native:") for key in plan.prepared)
+            needs_pack = any(key.startswith("native:")
+                             for key in plan.prepared)
+            assert needs_pack == (plan.method == "GBL")
             fast_twin = next(p for p in ranked if p.backend == "fast"
                              and p.method == plan.method)
             assert plan.predicted_seconds < fast_twin.predicted_seconds

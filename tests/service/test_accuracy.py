@@ -10,8 +10,9 @@ rather than silently degrade: every request expires with
 :class:`~repro.errors.DeadlineExceededError`.
 
 The graph/deadline pair is picked so the admission decision is
-deterministic: the best exact plan predicts ~90 ms against a 10 ms
-deadline, a margin no scheduler jitter can flip.
+deterministic: the best exact plan on the scheduler's engine predicts
+~120 ms against a 10 ms deadline, a margin no scheduler jitter can
+flip.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ from repro.service.scheduler import Scheduler, SchedulerConfig
 from repro.service.workload import WorkloadSpec, run_workload
 
 #: dense enough that every exact plan predicts far beyond DEADLINE
-GRAPH = random_bipartite(300, 200, 6000, seed=3)
+GRAPH = random_bipartite(200, 150, 3000, seed=3)
 QUERY = BicliqueQuery(3, 3)
 DEADLINE = 0.01
 
 
 @pytest.fixture(scope="module")
 def exact_count():
-    return gbc_count(GRAPH, QUERY, backend="native").count
+    return gbc_count(GRAPH, QUERY).count
 
 
 @pytest.fixture()
@@ -51,8 +52,11 @@ def scheduler():
 def test_deadline_is_actually_infeasible_for_exact():
     """Guard the premise: if the cost model ever gets fast enough to
     predict this plan under the deadline, the tests below stop testing
-    the fallback path — fail loudly here instead."""
-    best = Planner(GRAPH).rank(QUERY)[0]
+    the fallback path — fail loudly here instead.  The plan is ranked
+    on the engine the scheduler runs its batches on, the only one its
+    admission considers."""
+    best = Planner(GRAPH).rank(QUERY,
+                               backend=SchedulerConfig().backend)[0]
     assert best.predicted_seconds > 5 * DEADLINE
 
 
