@@ -51,8 +51,7 @@ def main() -> None:
             with lock:
                 served.append((name, p, q, result.count))
 
-    with Scheduler(pool, batch_window=0.002, workers=2,
-                   backend="fast") as scheduler:
+    with Scheduler(pool, batch_window=0.002, workers=2) as scheduler:
         threads = [threading.Thread(target=client, args=(i, scheduler))
                    for i in range(CLIENTS)]
         for t in threads:
@@ -69,7 +68,8 @@ def main() -> None:
     print("telemetry snapshot:")
     print(json.dumps(snapshot, indent=2, sort_keys=True))
 
-    # bit-identical to direct single-query calls, for every request
+    # bit-identical to direct single-query calls on the per-root `fast`
+    # kernels (serving counts on `native`), for every request
     direct = {(name, p, q): gbc_count(graphs[name], BicliqueQuery(p, q),
                                       backend="fast").count
               for name, p, q in {(n, p, q) for n, p, q, _ in served}}

@@ -39,6 +39,7 @@ from repro.plan import (ACCURACIES, AUTO, Planner, execute_plan,
                         explicit_plan, method_names)
 from repro.plan.execute import planned_seconds
 from repro.query import GraphSession, batch_count, parse_queries
+from repro.service.scheduler import SchedulerConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -172,9 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "(graph, shape) through the pooled sessions "
                          "(default GBC, or auto when --accuracy is "
                          "not exact)")
-    sb.add_argument("--backend", default="fast",
+    sb.add_argument("--backend", default=SchedulerConfig.backend,
                     choices=list(BACKEND_NAMES),
-                    help="kernel engine batches execute on (default fast)")
+                    help="kernel engine batches execute on "
+                         f"(default {SchedulerConfig.backend})")
     sb.add_argument("--window-ms", type=float, default=2.0,
                     help="micro-batching window in ms (default 2)")
     sb.add_argument("--max-batch", type=int, default=64,
@@ -231,9 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     db.add_argument("--method", default="GBC",
                     choices=_method_choices(),
                     help="counting algorithm (default GBC)")
-    db.add_argument("--backend", default="fast",
+    db.add_argument("--backend", default=SchedulerConfig.backend,
                     choices=list(BACKEND_NAMES),
-                    help="kernel engine inside workers (default fast)")
+                    help="kernel engine inside workers "
+                         f"(default {SchedulerConfig.backend})")
     db.add_argument("--seed", type=int, default=17)
     db.add_argument("--no-verify", action="store_true",
                     help="skip the direct-recount correctness oracle")
@@ -262,9 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "(a rate needs few edits; default 16)")
     mb.add_argument("--method", default="GBC", choices=_method_choices(),
                     help="counting algorithm for recounts/rebuilds")
-    mb.add_argument("--backend", default="fast",
+    mb.add_argument("--backend", default=SchedulerConfig.backend,
                     choices=list(BACKEND_NAMES),
-                    help="kernel engine (default fast)")
+                    help=f"kernel engine (default {SchedulerConfig.backend})")
     mb.add_argument("--seed", type=int, default=0)
     mb.add_argument("--queries", type=int, default=120, metavar="N",
                     help="mixed read/write serving drive: total draws "
@@ -491,7 +494,7 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
-    from repro.service import SchedulerConfig, WorkloadSpec, serve_bench
+    from repro.service import WorkloadSpec, serve_bench
     from repro.service.bench import write_artifact
 
     method = _resolve_method(args)
@@ -625,7 +628,7 @@ def _cmd_serve_dist_bench(args) -> int:
 
 
 def _cmd_serve_mutate_bench(args) -> int:
-    from repro.service import SchedulerConfig, WorkloadSpec, mutate_bench
+    from repro.service import WorkloadSpec, mutate_bench
     from repro.service.bench import write_artifact
 
     names = [n.strip() for n in args.graphs.split(",") if n.strip()]

@@ -362,10 +362,10 @@ def gbc_count(graph: BipartiteGraph, query: BicliqueQuery,
         total, peak_words = merge_shard_counts(
             engine.map_roots(shard, inputs.roots, weights))
     elif engine.frontier:
-        # level-synchronous traversal (identical counts, one pairwise
-        # kernel call per search level across every root); the hybrid
-        # batching knobs only shape simulated accounting, which the
-        # frontier engines don't collect
+        # budgeted hybrid DFS-BFS traversal (identical counts, one
+        # pairwise kernel call per search level or budget slice); the
+        # hybrid batching knobs only shape simulated accounting, which
+        # the frontier engines don't collect
         agg = engine.new_metrics()
         if opts.use_htb:
             total, peak_words = htb_frontier_count(

@@ -146,9 +146,9 @@ def gbl_count(graph: BipartiteGraph, query: BicliqueQuery,
         total, _ = merge_shard_counts(
             engine.map_roots(shard, inputs.roots, weights))
     elif engine.frontier:
-        # level-synchronous traversal: one pairwise kernel call per
-        # search level across every root (identical counts, none of the
-        # per-node dispatch the recursion pays)
+        # hybrid DFS-BFS traversal: one pairwise kernel call per search
+        # level, or per budget slice of a larger one (identical counts,
+        # none of the per-node dispatch the recursion pays)
         if pack is not None:
             adj = (pack.adj_offsets, pack.adj_values)
             idx = (pack.idx_offsets, pack.idx_values)

@@ -117,7 +117,8 @@ def _partitioned_check(size: str, workers: int, backend: str) -> dict:
 def dist_bench(*, topologies=(1, 2, 4), sizes=("small", "medium"),
                repetitions: int = 2, num_queries: int = 160,
                clients: int = 8, zipf_s: float = 1.1,
-               backend: str = "fast", method: str = "GBC",
+               backend: str = SchedulerConfig.backend,
+               method: str = "GBC",
                replication: int = 2, seed: int = 17,
                verify: bool = True) -> dict:
     """Run the topology × size grid; returns the artifact dict."""

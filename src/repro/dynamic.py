@@ -293,7 +293,7 @@ class DynamicGraphSession:
     """
 
     def __init__(self, num_u: int, num_v: int, *, name: str = "dynamic",
-                 spec=None, backend="fast", method: str = "GBC",
+                 spec=None, backend="native", method: str = "GBC",
                  cutover_ratio: float = 1.0,
                  seconds_per_work_unit: float = SECONDS_PER_WORK_UNIT,
                  max_cached_results: int = 256) -> None:

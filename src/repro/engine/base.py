@@ -210,7 +210,7 @@ class KernelBackend(ABC):
     # drives engines that set ``frontier = True`` through these; the
     # defaults loop the scalar primitives so any engine answers them.
 
-    #: whether the counting drivers should run the level-synchronous
+    #: whether the device counters should run the hybrid DFS-BFS
     #: frontier traversal on this engine instead of the per-root
     #: recursion (counts are identical either way)
     frontier: bool = False

@@ -9,9 +9,10 @@ dominate even :class:`~repro.engine.fast.FastBackend` wall time.
 granularities.  The batch entry points (``intersect_many`` and
 friends) vectorise one recursion node's frontier; on top of those the
 engine declares ``frontier = True``, which routes the device counters
-through :mod:`repro.core.frontier` — a level-synchronous traversal
-that submits **every (candidate, row) pair of a search level across
-all roots of a chunk in one call**.  Each pairwise kernel keys the
+through :mod:`repro.core.frontier` — a budgeted hybrid DFS-BFS
+traversal that submits **every (candidate, row) pair of a search level
+across many roots in one call**, slicing only levels too large for the
+scratch budget.  Each pairwise kernel keys the
 concatenated sorted rows by their pair id (``value + pair * span``) so
 a single ``searchsorted`` resolves thousands of independent
 intersections, probing whichever side of the level holds fewer
@@ -160,9 +161,9 @@ class NativeBackend(FastBackend):
     #: the counters fetch a :class:`NativePack` prepared state for this
     #: engine (contiguous arrays for the batch kernels)
     wants_pack = True
-    #: the counting drivers run the level-synchronous frontier traversal
+    #: the device counters run the hybrid DFS-BFS frontier traversal
     #: (:mod:`repro.core.frontier`) on this engine: one pairwise kernel
-    #: call per search level across every live root
+    #: call per search level, or per budget slice of a larger level
     frontier = True
 
     def __init__(self, jit: bool | None = None) -> None:

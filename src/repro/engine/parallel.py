@@ -6,7 +6,7 @@ shards the root set across ``workers`` processes of the persistent pool
 deterministically.  What a worker runs depends on the counter:
 
 * the **device counters** (GBC, its NH/NB/NW ablations, and GBL) run
-  the native engine's level-synchronous frontier kernels
+  the native engine's hybrid DFS-BFS frontier kernels
   (:mod:`repro.core.frontier`) — one frontier per root shard, over the
   session's HTB pair or native CSR pack.  The parent sums the shard
   totals and takes the largest working-set peak; no per-root cycle

@@ -65,7 +65,7 @@ def _method_resolver(graphs: dict[str, BipartiteGraph], method: str,
 
 def verify_served(graphs: dict[str, BipartiteGraph],
                   result: WorkloadResult,
-                  backend: str = "fast") -> list[dict]:
+                  backend: str = SchedulerConfig.backend) -> list[dict]:
     """Re-count every distinct served ``(graph, p, q)`` directly and
     return the mismatches (empty list = all bit-identical).
 

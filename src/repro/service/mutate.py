@@ -156,7 +156,8 @@ def _serve_mixed(graphs: dict[str, BipartiteGraph],
 def mutate_bench(graphs: dict[str, BipartiteGraph], *,
                  shapes=((2, 2), (2, 3), (3, 3)),
                  edits: int = 200, rebuild_limit: int = 16,
-                 method: str = "GBC", backend: str = "fast",
+                 method: str = "GBC",
+                 backend: str = SchedulerConfig.backend,
                  seed: int = 0,
                  serve_spec: WorkloadSpec | None = None,
                  config: SchedulerConfig | None = None) -> dict:

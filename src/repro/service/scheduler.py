@@ -65,8 +65,9 @@ class SchedulerConfig:
     max_pending: int = 1024
     #: worker threads executing batches (one batch each, concurrently)
     workers: int = 2
-    #: kernel backend every batch runs on ("sim" / "fast" / "par")
-    backend: str = "fast"
+    #: kernel backend every batch runs on ("sim" / "fast" / "native" /
+    #: "par"); the one serving default the serving benchmarks read
+    backend: str = "native"
     #: worker processes for the "par" backend (None = backend default)
     backend_workers: int | None = None
     #: default counting method for requests that do not name one;
@@ -91,6 +92,11 @@ class SchedulerConfig:
                 f"max_pending must be >= 1, got {self.max_pending}")
         if self.workers < 1:
             raise ServiceError(f"workers must be >= 1, got {self.workers}")
+        if self.backend_workers is not None \
+                and self.backend not in ("fast", "par"):
+            raise ServiceError(
+                f"backend_workers needs backend='par', got "
+                f"backend={self.backend!r}")
 
 
 @dataclass

@@ -12,7 +12,9 @@ rather than silently degrade: every request expires with
 The graph/deadline pair is picked so the admission decision is
 deterministic: the best exact plan on the scheduler's engine predicts
 ~120 ms against a 10 ms deadline, a margin no scheduler jitter can
-flip.
+flip.  The schedulers here run on ``fast``, the engine that premise was
+written for: the serving default ``native`` prices the same plan at
+about 28 ms, too close to the deadline to pin the fallback path.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from repro.service.workload import WorkloadSpec, run_workload
 GRAPH = random_bipartite(200, 150, 3000, seed=3)
 QUERY = BicliqueQuery(3, 3)
 DEADLINE = 0.01
+#: the engine whose exact plans the deadline above rules out
+CONFIG = SchedulerConfig(backend="fast")
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +48,7 @@ def exact_count():
 def scheduler():
     pool = SessionPool(max_sessions=1)
     pool.register("g", GRAPH)
-    sched = Scheduler(pool, config=SchedulerConfig())
+    sched = Scheduler(pool, config=CONFIG)
     yield sched
     sched.close()
 
@@ -55,8 +59,7 @@ def test_deadline_is_actually_infeasible_for_exact():
     the fallback path — fail loudly here instead.  The plan is ranked
     on the engine the scheduler runs its batches on, the only one its
     admission considers."""
-    best = Planner(GRAPH).rank(QUERY,
-                               backend=SchedulerConfig().backend)[0]
+    best = Planner(GRAPH).rank(QUERY, backend=CONFIG.backend)[0]
     assert best.predicted_seconds > 5 * DEADLINE
 
 
@@ -106,7 +109,7 @@ class TestWorkloadUnderDeadline:
                             deadline=DEADLINE, accuracy=accuracy, seed=6)
         pool = SessionPool(max_sessions=1)
         pool.register("g", GRAPH)
-        sched = Scheduler(pool, config=SchedulerConfig())
+        sched = Scheduler(pool, config=CONFIG)
         try:
             return run_workload(sched, spec)
         finally:

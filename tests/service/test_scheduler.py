@@ -37,6 +37,8 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         {"batch_window": -0.1}, {"max_batch": 0},
         {"max_pending": 0}, {"workers": 0},
+        # worker processes only shard the "par" engine's counts
+        {"backend_workers": 2}, {"backend": "sim", "backend_workers": 2},
     ])
     def test_invalid_tunables_raise(self, bad):
         with pytest.raises(ServiceError):
